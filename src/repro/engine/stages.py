@@ -102,7 +102,12 @@ class Batch:
 @runtime_checkable
 class Source(Protocol):
     """Yields work items: :class:`Request` objects, or anything a prefilter
-    can expand (e.g. reference :class:`~repro.workloads.chunks.Chunk`)."""
+    can expand (e.g. reference :class:`~repro.workloads.chunks.Chunk`).
+
+    A ``list`` item is a block of work items handed to the prefilter in one
+    :meth:`Prefilter.expand` call; ``PipelineStats.items_in`` counts the
+    items inside it, not the block.
+    """
 
     def __iter__(self) -> Iterator[object]: ...
 
@@ -184,7 +189,7 @@ class PipelineStats:
     """Work + timing accounting of one (or several merged) pipeline runs."""
 
     stages: dict = field(default_factory=lambda: {name: StageStats() for name in STAGES})
-    items_in: int = 0  # items yielded by the source
+    items_in: int = 0  # items yielded by the source (block members counted)
     candidates: int = 0  # requests considered by the prefilter
     admitted: int = 0
     rejected: int = 0
@@ -462,8 +467,9 @@ class StreamPipeline:
             except StopIteration:
                 st.stages["source"].add(time.perf_counter() - t0, 0)
                 break
-            st.stages["source"].add(time.perf_counter() - t0)
-            st.items_in += 1
+            items = len(item) if isinstance(item, list) else 1
+            st.stages["source"].add(time.perf_counter() - t0, items)
+            st.items_in += items
             if self.prefilter is not None:
                 t0 = time.perf_counter()
                 requests = list(self.prefilter.expand(item))
@@ -493,6 +499,10 @@ class StreamPipeline:
                     st.flushes += 1
                     for batch in self.batcher.flush():
                         submit(batch)
+                # Per request too: a block expansion may fill many batches,
+                # and max_outstanding must hold inside it.
+                if len(pending) > self.max_outstanding:
+                    yield from reduce_ready()
             yield from reduce_ready()
         for batch in self.batcher.flush():
             submit(batch)

@@ -8,8 +8,8 @@ from the engine's stage pipeline (:mod:`repro.engine.stages`):
 
 ::
 
-    chunk_records / chunk_sequence          (Source: reference windows)
-        → SeedPrefilter(QueryIndex)         (Prefilter: shared k-mers)
+    chunk_records / chunk_sequence          (Source: blocks of reference windows)
+        → SeedPrefilter(QueryIndex)         (Prefilter: one k-mer join per block)
         → ShapeBatcher                      (Batcher: same-shape lanes)
         → BandedVerifyStage                 (Executor: core.banded sweep)
         → TopKReducer                       (Reducer: bounded per-query heaps)
@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from repro.engine.batching import ShapeBatcher
 from repro.engine.engine import ExecutionEngine
 from repro.engine.executor import PlanExecutorStage
 from repro.engine.stages import Batch, PipelineStats
-from repro.search.seeds import QueryIndex, SeedPrefilter
+from repro.search.seeds import BLOCK_WINDOWS, QueryIndex, SeedPrefilter
 from repro.search.topk import Hit, TopKReducer
 from repro.util.checks import ValidationError, check_no_callables, check_positive
 from repro.util.encoding import encode
@@ -427,6 +428,17 @@ def _chunk_source(database, window: int, overlap: int):
     return chunk_sequence(value, window, overlap)
 
 
+def _blocks(chunks):
+    """Group a chunk stream into lists of ``BLOCK_WINDOWS`` consecutive windows.
+
+    Each list is one source item of the search pipeline, seeded by one
+    join (see :meth:`SeedPrefilter.expand`).
+    """
+    it = iter(chunks)
+    while block := list(islice(it, BLOCK_WINDOWS)):
+        yield block
+
+
 def search(
     queries,
     database,
@@ -538,7 +550,7 @@ def search(
         batcher = ShapeBatcher(engine.executor.lanes)
     reducer = TopKReducer(len(index), k=k, min_score=min_score, keep_window=hit_window)
     pipe = engine.pipeline(
-        _chunk_source(database, window, overlap),
+        _blocks(_chunk_source(database, window, overlap)),
         prefilter=SeedPrefilter(index, min_seeds=min_seeds),
         batcher=batcher,
         stage=stage,
@@ -592,6 +604,8 @@ def exhaustive_topk(
     """
     scheme = scheme if scheme is not None else default_search_scheme()
     enc_q = [encode(q) for q in queries]
+    if not enc_q:
+        raise ValidationError("search needs at least one query")
     qmax = max(q.size for q in enc_q)
     window, overlap = resolve_windowing(qmax, window, overlap, band_pad)
     owned_engine = None
