@@ -2,8 +2,8 @@
 
 The acceptance bar (PR 10), recorded in ``BENCH_mapping.json``:
 
-* **≥ 3× speedup** — ``map_reads`` (seeded hit search + per-hit banded
-  extension) over ``exhaustive_map`` (full dynamic programming over
+* **≥ 3× speedup** — ``map_reads`` (seeded hit search + lane-batched
+  banded extension) over ``exhaustive_map`` (full dynamic programming over
   every reference window — the oracle every fast path is certified
   against);
 * **≥ 99% true-origin accuracy** — each read's best placement recovers

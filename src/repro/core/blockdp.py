@@ -23,10 +23,10 @@ from repro.core.types import NEG_INF, AlignmentScheme, AlignmentType, Scoring
 __all__ = ["fill_block", "sweep_last_rows", "sweep_best"]
 
 
-def _sub_rows(scoring: Scoring, q: np.ndarray, s: np.ndarray, i: int) -> np.ndarray:
-    """σ(q[i−1], s[j−1]) for the whole row i (vectorized lookup)."""
-    table = scoring.subst.table.astype(np.int64)
-    return table[q[i - 1], s]
+def _sub_rows(scoring: Scoring, s: np.ndarray) -> np.ndarray:
+    """σ(c, s[j−1]) for each query code c: a (4, m) table built once per
+    sweep, so row i's substitution scores are the view ``rows[q[i−1]]``."""
+    return scoring.subst.table.astype(np.int64)[:, s]
 
 
 def fill_block(q, s, scoring: Scoring, top_open: bool = False):
@@ -40,6 +40,7 @@ def fill_block(q, s, scoring: Scoring, top_open: bool = False):
     q = np.asarray(q, dtype=np.uint8)
     s = np.asarray(s, dtype=np.uint8)
     n, m = q.size, s.size
+    rows = _sub_rows(scoring, s)
     gaps = scoring.gaps
     idx = np.arange(m + 1, dtype=np.int64)
 
@@ -54,7 +55,7 @@ def fill_block(q, s, scoring: Scoring, top_open: bool = False):
             raise ValueError("top_open requires an affine gap model")
         cand = np.empty(m + 1, dtype=np.int64)
         for i in range(1, n + 1):
-            sub = _sub_rows(scoring, q, s, i)
+            sub = rows[q[i - 1]]
             cand[0] = g * i
             np.maximum(H[i - 1, :m] + sub, H[i - 1, 1:] + g, out=cand[1:])
             H[i] = np.maximum.accumulate(cand + ramp) - ramp
@@ -76,7 +77,7 @@ def fill_block(q, s, scoring: Scoring, top_open: bool = False):
         E[0, 0] = 0  # lets the walker close the pre-opened gap at the corner
     cand = np.empty(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
-        sub = _sub_rows(scoring, q, s, i)
+        sub = rows[q[i - 1]]
         np.maximum(E[i - 1, 1:] + ge, H[i - 1, 1:] + go + ge, out=E[i, 1:])
         cand[0] = H[i, 0]
         np.maximum(H[i - 1, :m] + sub, E[i, 1:], out=cand[1:])
@@ -96,6 +97,7 @@ def sweep_last_rows(q, s, scoring: Scoring, top_open: bool = False):
     q = np.asarray(q, dtype=np.uint8)
     s = np.asarray(s, dtype=np.uint8)
     n, m = q.size, s.size
+    rows = _sub_rows(scoring, s)
     gaps = scoring.gaps
     idx = np.arange(m + 1, dtype=np.int64)
 
@@ -105,7 +107,7 @@ def sweep_last_rows(q, s, scoring: Scoring, top_open: bool = False):
         H = g * idx
         cand = np.empty(m + 1, dtype=np.int64)
         for i in range(1, n + 1):
-            sub = _sub_rows(scoring, q, s, i)
+            sub = rows[q[i - 1]]
             cand[0] = g * i
             np.maximum(H[:m] + sub, H[1:] + g, out=cand[1:])
             H = np.maximum.accumulate(cand + ramp) - ramp
@@ -123,7 +125,7 @@ def sweep_last_rows(q, s, scoring: Scoring, top_open: bool = False):
         np.maximum(E[1:] + ge, H[1:] + go + ge, out=Enew[1:])
         Enew[0] = col0
         cand[0] = col0
-        np.maximum(H[:m] + _sub_rows(scoring, q, s, i), Enew[1:], out=cand[1:])
+        np.maximum(H[:m] + rows[q[i - 1]], Enew[1:], out=cand[1:])
         scan = np.maximum.accumulate(cand + ramp)
         F = np.empty_like(cand)
         F[0] = NEG_INF
@@ -147,6 +149,7 @@ def sweep_best(q, s, scheme: AlignmentScheme, zero_init: bool, track: str):
     s = np.asarray(s, dtype=np.uint8)
     n, m = q.size, s.size
     scoring = scheme.scoring
+    rows = _sub_rows(scoring, s)
     gaps = scoring.gaps
     clamp = scheme.alignment_type is AlignmentType.LOCAL
     idx = np.arange(m + 1, dtype=np.int64)
@@ -188,7 +191,7 @@ def sweep_best(q, s, scheme: AlignmentScheme, zero_init: bool, track: str):
             np.maximum(E[1:] + ge, H[1:] + go + ge, out=Enew[1:])
             Enew[0] = go + ge * i
             cand[0] = border
-            np.maximum(H[:m] + _sub_rows(scoring, q, s, i), Enew[1:], out=cand[1:])
+            np.maximum(H[:m] + rows[q[i - 1]], Enew[1:], out=cand[1:])
             if clamp:
                 np.maximum(cand, 0, out=cand)
             scan = np.maximum.accumulate(cand + ramp)
@@ -199,7 +202,7 @@ def sweep_best(q, s, scheme: AlignmentScheme, zero_init: bool, track: str):
             E = Enew
         else:
             cand[0] = border
-            np.maximum(H[:m] + _sub_rows(scoring, q, s, i), H[1:] + g, out=cand[1:])
+            np.maximum(H[:m] + rows[q[i - 1]], H[1:] + g, out=cand[1:])
             if clamp:
                 np.maximum(cand, 0, out=cand)
             H = np.maximum.accumulate(cand + ramp) - ramp

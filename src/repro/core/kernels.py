@@ -12,6 +12,10 @@ specialized on one :class:`~repro.core.types.AlignmentScheme`:
 * :func:`fill_matrix` — scalar-dialect full-matrix fill, optionally with
   predecessor tracking; the non-vectorized CPU variant and the innermost
   traceback level.
+* :func:`traceback_lanes` — full alignments (end cells + CIGAR runs) of a
+  batch of short pairs padded into SIMD lanes: one vectorized fill that
+  stores a uint8 direction code per cell, then a walk per lane; the
+  read-mapping extension path.
 
 Both vector drivers share ONE traced kernel per scheme: every read keeps a
 leading ellipsis, so the same generated source runs 1-D rows and 2-D lane
@@ -20,6 +24,8 @@ among all variants" claim at kernel granularity.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from repro.core.relax import (
     nu_of,
     relax_cell,
     relax_row_candidates,
+    relax_row_sources,
     subst_expr,
 )
 from repro.core.types import (
@@ -60,11 +67,23 @@ __all__ = [
     "build_rowscan_kernel",
     "build_banded_kernel",
     "build_matrix_kernel",
+    "build_traceback_kernel",
+    "LaneTrace",
     "score_rowscan",
     "score_lanes",
     "fill_matrix",
     "pick_neg_inf",
+    "traceback_lanes",
 ]
+
+#: Direction codes of the traceback kernel, one uint8 per cell.  The low
+#: two bits name H's source with ``align_reference``'s tie order (first
+#: match wins): diagonal, then vertical gap (E), then horizontal gap (F).
+TB_DIAG, TB_UP, TB_LEFT = 0, 1, 2
+#: Affine only: E(i, j) = E(i−1, j) + extend (the vertical gap extends).
+TB_E_EXT = 4
+#: Affine only: F(i, j) = F(i, j−1) + extend (the horizontal gap extends).
+TB_F_EXT = 8
 
 
 def pick_neg_inf(dtype) -> int:
@@ -345,6 +364,91 @@ def build_matrix_kernel(scheme: AlignmentScheme, track_predecessor: bool = False
     return build_kernel(b, dialect="scalar")
 
 
+def build_traceback_kernel(scheme: AlignmentScheme):
+    """Trace + specialize + compile the lane traceback fill for ``scheme``.
+
+    The row sweep of :func:`build_rowscan_kernel` (same sources, same
+    prefix-scan closure) that additionally records, per cell, which source
+    produced H — and for affine schemes whether E/F extended — as one
+    uint8 code (``TB_*``) in ``D[i, lane, j]``.  Generated signature::
+
+        kernel(q, s, n, m, H, C, ramp, ninf, D, lidx, mcol, Hcol, ends, Hlast
+               [, E] [, table])
+
+    Lanes are padded to a common (n, m); a cell depends only on cells above
+    and to its left, so lane ``l`` reads true values on its own
+    ``[0..n_l] × [0..m_l]``.  Each row the kernel gathers H at every lane's
+    own last column (``Hcol[i] = H[lidx, mcol]``) and keeps the rows of the
+    lanes whose query ends there (``ends[i]`` → ``Hlast``): exactly what
+    the end-cell choice of :func:`repro.core.recurrence.best_cell` reads.
+    """
+    at = scheme.alignment_type
+    if at is AlignmentType.LOCAL:
+        raise ValidationError("lane traceback supports global and semiglobal schemes only")
+    affine = scheme.scoring.is_affine
+    simple = scheme.scoring.subst.is_simple
+    gaps = scheme.scoring.gaps
+
+    params = ["q", "s", "n", "m", "H", "C", "ramp", "ninf", "D", "lidx", "mcol"]
+    params += ["Hcol", "ends", "Hlast"]
+    if affine:
+        params.append("E")
+    if not simple:
+        params.append("table")
+
+    b = KernelBuilder(
+        f"traceback_{at.value}_{'affine' if affine else 'linear'}",
+        params,
+        docstring=f"specialized lane traceback fill: {scheme.cache_key()}",
+    )
+    n, m = b.var("n"), b.var("m")
+    qv = SequenceView("q", n, lanes=True)
+    H, C = RowView("H"), RowView("C")
+    E = RowView("E") if affine else None
+    table = TableView("table") if not simple else None
+    ramp = b.var("ramp")
+    ninf = b.var("ninf")
+
+    with b.loop("i", 1, n + 1) as i:
+        qc = b.let(qv.col(i - 1), "qc")
+        sub = b.let(subst_expr(scheme, qc, b.var("s"), table), "sub")
+        hh = b.let(H.cells(0, m), "hh")
+        ht = b.let(H.cells(1, m + 1), "ht")
+        et = b.let(E.cells(1, m + 1), "et") if affine else None
+        diag, vgap = relax_row_sources(b, scheme, hh, ht, et, sub)
+        if affine:
+            go, ge = gaps.open, gaps.extend
+            e_ext = b.let(Select(vgap.eq(et + ge), Const(TB_E_EXT), Const(0)), "eext")
+            E.put(b, 1, m + 1, vgap)
+            E.put_at(b, 0, go + ge * i)
+            border = (go + ge * i) if at is AlignmentType.GLOBAL else Const(0)
+        else:
+            border = gaps.gap * i if at is AlignmentType.GLOBAL else Const(0)
+        C.put_at(b, 0, border)
+        C.put(b, 1, m + 1, smax(diag, vgap))
+        scan = b.let(ScanMax(C.whole() + ramp), "scan")
+        if affine:
+            f = b.let(Shift(scan, 1, ninf) + go - ramp, "f")
+            H.put_whole(b, smax(C.whole(), f))
+        else:
+            H.put_whole(b, scan - ramp)
+        hn = b.let(H.cells(1, m + 1), "hn")
+        # (H ≠ diag) << (H ≠ vgap) is TB_DIAG / TB_UP / TB_LEFT in that tie
+        # order; bool << bool computes in int8, about half a where-chain's cost.
+        code = hn.ne(diag) << hn.ne(vgap)
+        if affine:
+            f_tail = b.load(f.name, (Ellipsis, b.slice(1, m + 1)))
+            f_head = b.load(f.name, (Ellipsis, b.slice(0, m)))
+            f_ext = Select(f_tail.eq(f_head + ge), Const(TB_F_EXT), Const(0))
+            code = code | e_ext | f_ext
+        b.store("D", (i, Ellipsis, b.slice(1, m + 1)), code)
+        b.store("Hcol", (i,), b.load("H", (b.var("lidx"), b.var("mcol"))))
+        ending = b.let(b.load("ends", (i,)), "ending")
+        b.store("Hlast", (ending,), b.load("H", (ending,)))
+
+    return build_kernel(b, dialect="vector")
+
+
 def _cached(key, thunk):
     return global_kernel_cache.get_or_build(key, thunk)
 
@@ -502,3 +606,150 @@ def fill_matrix(query, subject, scheme: AlignmentScheme, track_predecessor: bool
     kern(*args)
     score, pos = best_cell(H, at)
     return H, E, F, P, score, pos
+
+
+class LaneTrace(NamedTuple):
+    """One lane's optimal alignment: score, segment and CIGAR runs.
+
+    ``cigar`` is canonical run-length ``(op, length)`` tuples over
+    ``M``/``I``/``D`` plus ``S`` soft clips for the unaligned query ends,
+    so it consumes the whole query.
+    """
+
+    score: int
+    query_start: int
+    query_end: int
+    subject_start: int
+    subject_end: int
+    cigar: tuple
+
+
+def traceback_lanes(
+    queries, subjects, scheme: AlignmentScheme, dtype=np.int32
+) -> list[LaneTrace]:
+    """Optimal alignments of a batch of pairs via one lane traceback fill.
+
+    Pairs may differ in length: they are padded into lanes of the batch's
+    largest (n, m) and filled by the cached :func:`build_traceback_kernel`.
+    Each lane's end cell follows :func:`repro.core.recurrence.best_cell`
+    and its walk re-derives :func:`repro.core.recurrence.align_reference`'s
+    decisions from the stored codes, so score, start/end cells and edit
+    script equal that oracle bit for bit.  Global and semiglobal schemes
+    only.  Memory is (n+1)·lanes·(m+1) bytes; callers bound the lanes.
+    """
+    at = scheme.alignment_type
+    qs = [check_sequence(np.asarray(x, dtype=np.uint8), "query") for x in queries]
+    ss = [check_sequence(np.asarray(x, dtype=np.uint8), "subject") for x in subjects]
+    if len(qs) != len(ss):
+        raise ValidationError(f"{len(qs)} queries vs {len(ss)} subjects")
+    if not qs:
+        return []
+    lanes = len(qs)
+    ns = np.fromiter((x.size for x in qs), dtype=np.intp, count=lanes)
+    ms = np.fromiter((x.size for x in ss), dtype=np.intp, count=lanes)
+    n, m = int(ns.max()), int(ms.max())
+    _check_headroom(scheme, n, m, dtype)
+    kern = _cached(
+        ("traceback",) + scheme.cache_key(), lambda: build_traceback_kernel(scheme)
+    )
+
+    q = np.zeros((lanes, n), dtype=np.uint8)
+    s = np.zeros((lanes, m), dtype=np.uint8)
+    for lane, (a, c) in enumerate(zip(qs, ss)):
+        q[lane, : a.size] = a
+        s[lane, : c.size] = c
+    H, C, E, ramp, ninf = _init_rows(scheme, (lanes,), m, dtype)
+    D = np.empty((n + 1, lanes, m + 1), dtype=np.uint8)
+    lidx = np.arange(lanes)
+    Hcol = np.empty((n + 1, lanes), dtype=dtype)
+    Hcol[0] = H[lidx, ms]
+    Hlast = np.empty_like(H)
+    none = np.empty(0, dtype=np.intp)
+    ends = [none] * (n + 1)
+    for length in np.unique(ns):
+        ends[length] = np.flatnonzero(ns == length)
+    args = [q, s, n, m, H, C, ramp, ninf, D, lidx, ms, Hcol, ends, Hlast]
+    if E is not None:
+        args.append(E)
+    if not scheme.scoring.subst.is_simple:
+        args.append(scheme.scoring.subst.table.astype(dtype))
+    kern(*args)
+
+    codes = D.reshape(-1).data
+    row = lanes * (m + 1)
+    affine = scheme.scoring.is_affine
+    semiglobal = at is AlignmentType.SEMIGLOBAL
+    out = []
+    for lane in range(lanes):
+        nl, ml = int(ns[lane]), int(ms[lane])
+        col = Hcol[: nl + 1, lane]
+        if semiglobal:  # best_cell: first max of the last row, then column
+            last = Hlast[lane, : ml + 1]
+            jb, ib = int(np.argmax(last)), int(np.argmax(col))
+            if last[jb] >= col[ib]:
+                score, i, j = int(last[jb]), nl, jb
+            else:
+                score, i, j = int(col[ib]), ib, ml
+        else:
+            score, i, j = int(col[nl]), nl, ml
+        i0, j0, runs = _walk_lane(codes, lane * (m + 1), row, i, j, affine, semiglobal)
+        if i0:
+            runs.insert(0, ("S", i0))
+        if nl > i:
+            runs.append(("S", nl - i))
+        out.append(LaneTrace(score, i0, i, j0, j, tuple(runs)))
+    return out
+
+
+def _walk_lane(codes, base: int, row: int, i: int, j: int, affine: bool, semiglobal: bool):
+    """Walk one lane's direction codes from its end cell to its start cell.
+
+    ``codes[base + i*row + j]`` is cell (i, j).  The moves replay
+    :func:`repro.core.recurrence.align_reference` decision for decision
+    (H state: diagonal, then E, then F; gap states extend while the stored
+    extend bit holds and the gap is not at the border).  Returns the start
+    cell and the ``M``/``I``/``D`` runs in forward order.
+    """
+    runs = []
+    op, run = "", 0
+    state = TB_DIAG  # TB_DIAG: in H; TB_UP: in E (vertical gap); TB_LEFT: in F
+    while True:
+        if state == TB_DIAG:
+            if i == 0 or j == 0:
+                if semiglobal or i == j:
+                    break
+                step = "D" if i == 0 else "I"  # global border: one gap run
+            else:
+                c = codes[base + i * row + j] & 3
+                if c == TB_DIAG:
+                    step = "M"
+                elif affine:
+                    state = c
+                    continue
+                else:
+                    step = "I" if c == TB_UP else "D"
+        elif state == TB_UP:
+            step = "I"
+            if not (i > 1 and codes[base + i * row + j] & TB_E_EXT):
+                state = TB_DIAG
+        else:
+            step = "D"
+            if not (j > 1 and codes[base + i * row + j] & TB_F_EXT):
+                state = TB_DIAG
+        if step == "M":
+            i -= 1
+            j -= 1
+        elif step == "I":
+            i -= 1
+        else:
+            j -= 1
+        if step == op:
+            run += 1
+        else:
+            if run:
+                runs.append((op, run))
+            op, run = step, 1
+    if run:
+        runs.append((op, run))
+    runs.reverse()
+    return i, j, runs

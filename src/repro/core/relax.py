@@ -10,8 +10,9 @@ by the scheme at trace time.  After partial evaluation:
 
 Two granularities are provided: :func:`relax_cell` produces the per-cell
 expression used by scalar tile kernels and the GPU/FPGA simulators;
-:func:`relax_row_exprs` produces the whole-row expressions used by the
-vectorized row-sweep kernels (same recurrence, row granularity).
+:func:`relax_row_sources` / :func:`relax_row_candidates` produce the
+whole-row expressions used by the vectorized row-sweep kernels (same
+recurrence, row granularity).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "NextStep",
     "relax_cell",
     "relax_row_candidates",
+    "relax_row_sources",
     "nu_of",
     "subst_expr",
 ]
@@ -122,6 +124,34 @@ def relax_cell(
     return NextStep(score=score, predc=predc, e=e_new, f=f_new)
 
 
+def relax_row_sources(
+    builder,
+    scheme: AlignmentScheme,
+    h_prev_head: Expr,
+    h_prev_tail: Expr,
+    e_prev_tail: Expr | None,
+    sub_row: Expr,
+) -> tuple[Expr, Expr]:
+    """The two column-parallel sources of one DP row (columns 1..m).
+
+    Returns ``(diag, vgap)``, each bound once: ``diag`` is
+    H(i−1, j−1) + σ and ``vgap`` the vertical-gap candidate — E(i, j) for
+    affine models (column-parallel, no scan needed), H(i−1, j) + g for
+    linear ones.  The traceback kernel compares the finished row against
+    both to record which source won.
+    """
+    gaps = scheme.scoring.gaps
+    diag = builder.let(h_prev_head + sub_row, "diag")
+    if gaps.is_affine:
+        go, ge = gaps.open, gaps.extend
+        # Bound so the expression is computed once, not re-emitted inside
+        # the candidate (the partial evaluator does not CSE across stores).
+        vgap = builder.let(smax(e_prev_tail + ge, h_prev_tail + go + ge), "e_new")
+    else:
+        vgap = builder.let(h_prev_tail + gaps.gap, "up")
+    return diag, vgap
+
+
 def relax_row_candidates(
     builder,
     scheme: AlignmentScheme,
@@ -143,21 +173,10 @@ def relax_row_candidates(
     right as −(j−k)·p is always dominated by the clamp at j itself.
 
     ``h_prev_head``/``h_prev_tail`` are H(i−1, 0..m−1) and H(i−1, 1..m);
-    ``e_prev_tail`` is E(i−1, 1..m) (affine only).  For affine models the
-    vertical E update is column-parallel (no scan needed).
+    ``e_prev_tail`` is E(i−1, 1..m) (affine only).
     """
-    gaps = scheme.scoring.gaps
-    nu = nu_of(scheme)
-    diag = h_prev_head + sub_row
-
-    if gaps.is_affine:
-        go, ge = gaps.open, gaps.extend
-        # Bind E so the expression is computed once, not re-emitted inside
-        # the candidate (the partial evaluator does not CSE across stores).
-        e_new = builder.let(smax(e_prev_tail + ge, h_prev_tail + go + ge), "e_new")
-        cand_tail = smax(diag, e_new, Const(nu))
-        return cand_tail, e_new
-
-    g = gaps.gap
-    cand_tail = smax(diag, h_prev_tail + g, Const(nu))
-    return cand_tail, None
+    diag, vgap = relax_row_sources(
+        builder, scheme, h_prev_head, h_prev_tail, e_prev_tail, sub_row
+    )
+    cand_tail = smax(diag, vgap, Const(nu_of(scheme)))
+    return cand_tail, (vgap if scheme.scoring.gaps.is_affine else None)

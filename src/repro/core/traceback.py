@@ -38,7 +38,7 @@ from repro.core.types import (
 )
 from repro.core.scoring import global_scheme
 from repro.util.checks import ValidationError, check_sequence
-from repro.util.encoding import decode
+from repro.util.encoding import CODE_TO_CHAR
 
 __all__ = ["align_block", "align_linear_space", "DEFAULT_BLOCK_CUTOFF"]
 
@@ -177,24 +177,21 @@ def _hirschberg_ops(
 
 
 def _ops_to_strings(ops, q, s) -> tuple[str, str]:
-    qa, sa = [], []
-    i = j = 0
-    for dq, ds in ops:
-        if dq and ds:
-            qa.append(decode(q[i : i + 1]))
-            sa.append(decode(s[j : j + 1]))
-            i += 1
-            j += 1
-        elif dq:
-            qa.append(decode(q[i : i + 1]))
-            sa.append("-")
-            i += 1
-        else:
-            qa.append("-")
-            sa.append(decode(s[j : j + 1]))
-            j += 1
-    assert i == len(q) and j == len(s), "edit script does not cover the segment"
-    return "".join(qa), "".join(sa)
+    """Gapped strings of an edit script, decoding each segment once.
+
+    The query row takes the segment's characters at the query-consuming
+    columns in order and ``-`` elsewhere; likewise the subject row.
+    """
+    steps = np.array(ops, dtype=bool).reshape(-1, 2)
+    dq, ds = steps[:, 0], steps[:, 1]
+    assert dq.sum() == len(q) and ds.sum() == len(s), (
+        "edit script does not cover the segment"
+    )
+    qa = np.full(len(steps), ord("-"), dtype=np.uint8)
+    sa = qa.copy()
+    qa[dq] = CODE_TO_CHAR[q]
+    sa[ds] = CODE_TO_CHAR[s]
+    return qa.tobytes().decode("ascii"), sa.tobytes().decode("ascii")
 
 
 def _segment(q, s, scheme: AlignmentScheme) -> tuple[int, int, int, int, int]:

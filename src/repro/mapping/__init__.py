@@ -2,8 +2,8 @@
 
 Reads in → exact reference placements/CIGARs out: the search pipeline
 finds window-level hits on both strands, :mod:`~repro.mapping.extend`
-runs exact traceback per hit (envelope-sliced with a correctness
-certificate, full-window fallback), and :mod:`~repro.mapping.dedup`
+traces every hit in one lane-batched traceback call (envelope-sliced
+with a correctness certificate, full-window fallback), and :mod:`~repro.mapping.dedup`
 collapses overlapping-window duplicates under one deterministic total
 order.  See :func:`map_reads` for the entry point and
 :func:`exhaustive_map` for the full-DP oracle every fast path is
@@ -26,7 +26,13 @@ from repro.mapping.dedup import (
     merge_mapped,
     placement_rank,
 )
-from repro.mapping.extend import ExtendStats, Placement, extend_hit, placement_key
+from repro.mapping.extend import (
+    ExtendStats,
+    Placement,
+    extend_hit,
+    extend_hits,
+    placement_key,
+)
 from repro.mapping.mapper import (
     MappingConfig,
     MappingResult,
@@ -54,6 +60,7 @@ __all__ = [
     "ExtendStats",
     "Placement",
     "extend_hit",
+    "extend_hits",
     "placement_key",
     "MappingConfig",
     "MappingResult",

@@ -4,16 +4,18 @@
 ii turned into a product surface): a :class:`~repro.workloads.reads.ReadSet`,
 FASTA records, or raw sequences stream through the existing search
 pipeline (seed prefilter → banded verify → bounded top-K) on **both
-strands**, the retained hits are extended to exact placements
-(:mod:`repro.mapping.extend`), and overlapping-window duplicates
+strands**, the retained hits are extended to exact placements by one
+lane-batched traceback per call (:mod:`repro.mapping.extend`), and
+overlapping-window duplicates
 collapse under one deterministic total order
 (:mod:`repro.mapping.dedup`).  Per-stage stats land in the
 ``perf.report`` format via :meth:`MappingResult.report`.
 
 :func:`exhaustive_map` is the correctness oracle: full-DP scoring of
 *every* (oriented read, window) pair with the identical retention order,
-followed by full-window traceback for every retained hit and the same
-dedup — no prefilter, no band, no envelope slicing anywhere.  Every fast
+followed by full-window traceback for every retained hit (the same lane
+kernel, so the same ``align_reference`` tie order) and the same dedup —
+no prefilter, no band, no envelope slicing anywhere.  Every fast
 path (single-process, pool-served, routed) is asserted bit-identical to
 it in the tests and the mapping benchmark.
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.mapping.dedup import DedupStats, merge_mapped
-from repro.mapping.extend import ExtendStats, Placement, extend_hit
+from repro.mapping.extend import ExtendStats, Placement, extend_hits
 from repro.obs import get_registry, get_tracer
 from repro.search.pipeline import (
     SearchConfig,
@@ -73,6 +75,12 @@ class MappingConfig:
     straddling shadow placements, which changes what survives
     ``min_score``.  The fast path's speedup comes from the seed
     prefilter rejecting unseeded windows, which full verify keeps.
+
+    ``traceback="banded"`` traces each hit's seed-envelope slice and
+    falls back to its full window when the slice cannot certify the
+    result; ``"full"`` traces whole windows only.  Both run the lane
+    traceback kernel, whose ties follow
+    :func:`repro.core.recurrence.align_reference`.
     """
 
     search: SearchConfig = field(
@@ -194,7 +202,8 @@ def _extend_all(
     windows: dict | None = None,
     mode: str | None = None,
 ) -> tuple[list, ExtendStats]:
-    """Extend every retained hit; per-read placement lists, pre-dedup.
+    """Extend every retained hit in one batched traceback; per-read
+    placement lists, pre-dedup.
 
     ``windows`` maps chunk_id → window bases for hits that do not carry
     their window in ``meta`` (the exhaustive oracle path); ``mode``
@@ -202,27 +211,24 @@ def _extend_all(
     """
     num_reads = len(enc_reads)
     oriented = _oriented(enc_reads, cfg)
-    mode = mode if mode is not None else cfg.traceback
-    stats = ExtendStats()
-    per_read: list = [[] for _ in range(num_reads)]
+    jobs = []
     for qid, hits in enumerate(hits_per_oriented):
         read_id = qid % num_reads
         strand = "-" if qid >= num_reads else "+"
-        query = oriented[qid]
         for hit in hits:
             window = windows.get(hit.chunk_id) if windows is not None else None
-            p = extend_hit(
-                query,
-                hit,
-                scheme,
-                window=window,
-                mode=mode,
-                extend_pad=cfg.extend_pad,
-                query_id=read_id,
-                strand=strand,
-                stats=stats,
-            )
-            per_read[read_id].append(p)
+            jobs.append((oriented[qid], hit, window, read_id, strand))
+    stats = ExtendStats()
+    placements = extend_hits(
+        jobs,
+        scheme,
+        mode=mode if mode is not None else cfg.traceback,
+        extend_pad=cfg.extend_pad,
+        stats=stats,
+    )
+    per_read: list = [[] for _ in range(num_reads)]
+    for p in placements:
+        per_read[p.query_id].append(p)
     return per_read, stats
 
 
@@ -347,7 +353,9 @@ def exhaustive_map(
     No seed prefilter, no verification band, no envelope slicing: every
     (oriented read, window) pair is scored exactly
     (:func:`~repro.search.pipeline.exhaustive_topk`, identical retention
-    order), every retained hit is re-aligned on its whole window, and
+    order), every retained hit is re-aligned on its whole window by the
+    lane traceback kernel (the fast path's kernel, pinned to
+    :func:`repro.core.recurrence.align_reference` by its tests), and
     the same dedup ranks the results.  Quadratic — the correctness
     referee and benchmark baseline, not a serving path.
     """

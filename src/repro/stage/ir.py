@@ -73,6 +73,9 @@ class Expr:
     def __or__(self, other):
         return BinOp("|", self, as_expr(other))
 
+    def __lshift__(self, other):
+        return BinOp("<<", self, as_expr(other))
+
     def __neg__(self):
         return BinOp("-", Const(0), self)
 
